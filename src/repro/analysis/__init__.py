@@ -1,6 +1,6 @@
 """repro.analysis — the repo's invariant linter (``repro lint``).
 
-Static AST passes over the installed package (wire completeness,
+Static AST passes over the installed package (control-frame symmetry,
 determinism, lock discipline, registry consistency) plus a runtime
 lock-order tracer.  See :mod:`repro.analysis.base` for the framework and
 the README "Static analysis" section for the rule catalogue.

@@ -9,11 +9,19 @@ costs the step predictor consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Annotated, List, Tuple
 
 import numpy as np
 
-BnStats = List[Tuple[np.ndarray, np.ndarray]]
+#: array annotations name their wire role (``repro.runtime.codecs``): a
+#: codec may treat the roles differently — only gradients are sparsified
+Gradient = Annotated[np.ndarray, "grad"]
+Weights = Annotated[np.ndarray, "weights"]
+BnStat = Annotated[np.ndarray, "bn"]
+
+#: one ``(mean, var)`` pair per BN layer
+BnPair = Tuple[BnStat, BnStat]
+BnStats = List[BnPair]
 
 
 @dataclass
@@ -37,7 +45,7 @@ class GradientPayload:
     """The gradient push of Algorithm 1 (line 12)."""
 
     worker: int
-    grad: np.ndarray
+    grad: Gradient
     pull_version: int
     loss: float = 0.0
     nbytes: int = 0

@@ -32,14 +32,13 @@ seven arrows above onto :class:`~repro.cluster.simulator.Simulator` events.
 The thread flavor (:class:`repro.runtime.thread_backend.ThreadBackend`)
 runs the *same* plan on real threads with wall-clock staleness; both are
 selected by name through :func:`repro.runtime.run_experiment` or
-``repro run --backend {sim,thread}``.  ``build_dataset``/``build_model``
-are re-exported here for backward compatibility.
+``repro run --backend {sim,thread}``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -52,20 +51,6 @@ from repro.utils.logging import get_logger
 logger = get_logger("core.trainer")
 
 _REQUEST_BYTES = 256  # pull request / small control messages
-
-
-def build_dataset(config: TrainingConfig):
-    """Return (train, test, num_classes); see :mod:`repro.runtime.session`."""
-    from repro.runtime.session import build_dataset as _build_dataset
-
-    return _build_dataset(config)
-
-
-def build_model(config: TrainingConfig, input_shape: Tuple[int, ...], num_classes: int):
-    """Build one seeded model replica; see :mod:`repro.runtime.session`."""
-    from repro.runtime.session import build_model as _build_model
-
-    return _build_model(config, input_shape, num_classes)
 
 
 class DistributedTrainer:
@@ -114,7 +99,6 @@ class DistributedTrainer:
         self.total_updates = plan.total_updates
         self.model_bytes = plan.model_bytes
         self.state_bytes = plan.state_bytes
-        self._eval_indices = self.session._eval_indices
 
         self.sim = Simulator()
 

@@ -85,6 +85,7 @@ class AgentLink:
         self.alive = True
         self.last_seen = time.monotonic()
         self._send_lock = make_lock("AgentLink._send_lock")
+        self._close_timeout = connect_timeout
 
         sock = _socket.create_connection((host, self.port), timeout=connect_timeout)
         self.conn = FrameConnection(sock)
@@ -150,8 +151,20 @@ class AgentLink:
             return False
 
     def close(self) -> None:
+        """End the session.  An idle live link half-closes and waits for
+        the agent's EOF: the agent frees its one-session slot *before*
+        closing its socket, so once this returns the next scheduler is
+        welcomed instead of answered ``busy``."""
+        graceful = self.alive and not self.inflight
         self.alive = False
         self._hb_stop.set()
+        if graceful:
+            try:
+                with self._send_lock:
+                    self.conn.shutdown_write()
+                self._reader.join(timeout=self._close_timeout)
+            except OSError:
+                pass
         self.conn.close()
 
 

@@ -10,16 +10,32 @@ Envelope fields carry only what crosses the wire; the mathematics stays in
 :class:`~repro.core.state.WorkerState` / :class:`~repro.core.state.
 GradientPayload` / :class:`~repro.core.state.CompensationReply`, shared
 verbatim with the simulator so both backends speak one protocol.
+
+The field annotations *are* the wire schema: :mod:`repro.runtime.wire`
+derives every codec from them, so a new envelope is a new dataclass here
+and nothing else.  Defining a subclass registers it under its class name
+(:data:`MESSAGE_TYPES`), the only kinds a receiver will ever build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional, Tuple, Type, Union
 
-import numpy as np
+from repro.core.state import (
+    BnPair,
+    CompensationReply,
+    GradientPayload,
+    Weights,
+    WorkerState,
+)
 
-from repro.core.state import CompensationReply, GradientPayload, WorkerState
+#: one trace row as it crosses the wire: ``[t, kind, worker, *fields]``
+#: (the :func:`repro.obs.events.encode_record` format)
+TraceRow = List[Union[bool, int, float, str, None]]
+
+#: every concrete envelope by wire kind (its class name)
+MESSAGE_TYPES: Dict[str, Type["Message"]] = {}
 
 
 @dataclass(frozen=True)
@@ -33,6 +49,19 @@ class Message:
     #: just to learn about it (class attribute, not a wire field)
     expedite = False
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        prior = MESSAGE_TYPES.get(cls.__name__)
+        if prior is not None and (prior.__module__, prior.__qualname__) != (
+            cls.__module__,
+            cls.__qualname__,
+        ):
+            raise TypeError(
+                f"message kind {cls.__name__!r} is already taken by "
+                f"{prior.__module__}.{prior.__qualname__}"
+            )
+        MESSAGE_TYPES[cls.__name__] = cls
+
 
 @dataclass(frozen=True)
 class PullRequest(Message):
@@ -45,7 +74,7 @@ class PullRequest(Message):
 class PullReply(Message):
     """Server -> worker: the weights at ``version`` (Algorithm 2, l. 12)."""
 
-    weights: Optional[np.ndarray] = None
+    weights: Optional[Weights] = None
     version: int = -1
     request_sent_at: float = 0.0  # echoed so the worker can measure t_comm
 
@@ -92,7 +121,7 @@ class BnStatsPush(Message):
     :func:`~repro.nn.norm.bn_layers` order.
     """
 
-    stats: tuple = ()
+    stats: Tuple[BnPair, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -110,7 +139,7 @@ class TracePush(Message):
     wait for all ``M`` of them deterministically.
     """
 
-    rows: tuple = ()
+    rows: Tuple[TraceRow, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -125,8 +154,8 @@ class WeightExchange(Message):
     step count, used for the staleness/version-gap accounting.
     """
 
-    weights: Optional[np.ndarray] = None
-    bn_stats: tuple = ()
+    weights: Optional[Weights] = None
+    bn_stats: Tuple[BnPair, ...] = ()
     step: int = 0
 
 

@@ -9,7 +9,7 @@ thread backend there is no shared GIL: staleness and wall-clock numbers
 come from genuinely independent compute plus real kernel socket queues.
 
 Startup handshake (typed :class:`~repro.runtime.wire.ControlFrame`
-documents, protocol v2)::
+documents, :data:`~repro.runtime.wire.PROTOCOL_VERSION`)::
 
     child  -> parent   hello   {"worker": id, "token": ...}
     parent -> child    config  {"config": ..., "codec": ..., scales...}

@@ -4,14 +4,24 @@ Every frame on a worker socket is::
 
     [u32 frame length][u32 header length][header JSON][array part buffers]
 
-The header is a small JSON document carrying the message kind, its scalar
+The header is a small JSON document carrying the message kind, its
 fields, an optional delivery ``delay`` (the emulated downlink occupancy
 the receiver sleeps out — the :class:`~repro.runtime.transport.Mailbox`
-contract), the sender's *logical* byte count (``nbytes`` — what the run's
-accounting charges, independent of compression), and one self-describing
-codec entry per array payload (:mod:`repro.runtime.codecs`).  Array data
-travels as raw buffers appended after the header in entry order; nothing
-is ever pickled.
+contract) and the sender's *logical* byte count (``nbytes`` — what the
+run's accounting charges, independent of compression).  Array data
+travels as raw buffers appended after the header; nothing is ever
+pickled.
+
+The codec is derived from the :mod:`repro.runtime.messages` dataclasses:
+each class's type hints compile once into an encoder/decoder pair, and
+declaration order is the codec.  A field's header value follows its
+annotation — a JSON scalar as itself, a nested dataclass as an object, a
+``Tuple``/``List`` as a list, an empty ``Optional`` as ``null``, and an
+array (``Gradient``/``Weights``/``BnStat`` name its codec role) as its
+codec entry, whose buffers follow the header in field order.  Any other
+annotation fails when the plan is built, naming ``Class.field``; decode
+builds only registered message classes and turns every malformed input
+into :class:`WireError`.
 
 The data plane is zero-copy in both directions:
 
@@ -22,10 +32,9 @@ The data plane is zero-copy in both directions:
 * **receive** — :meth:`FrameConnection.read_frame` fills a reusable
   per-connection buffer via ``recv_into`` and returns a read-only view
   of it (valid until the next read); :func:`decode` builds arrays as
-  ``np.frombuffer`` views with ``copy=False``.  Decoders own anything
-  that outlives the frame (BN statistics, weights, gradients — the
-  float64 math cast copies), so a decoded message never aliases the
-  receive buffer.
+  ``np.frombuffer`` views with ``copy=False``.  A view a decoded message
+  keeps is copied (a cast, like ``GradientPayload``'s float64, already
+  is one), so a decoded message never aliases the receive buffer.
 
 Two frame flavors share the transport:
 
@@ -37,21 +46,34 @@ Two frame flavors share the transport:
   this one typed helper); :func:`decode` returns the doc dict itself.
 
 Version negotiation: the header carries ``v`` and :func:`decode` runs the
-single :func:`check_protocol_version` path, so a v1 peer is rejected with
-a reason on its first frame rather than failing opaquely mid-run.
+single :func:`check_protocol_version` path, so a peer speaking another
+version is rejected with a reason on its first frame rather than failing
+opaquely mid-run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import (
+    Annotated,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 
-from repro.core.state import CompensationReply, GradientPayload, WorkerState
 from repro.runtime import codecs as codecs_mod
 from repro.runtime.codecs import (
     GradientCodec,
@@ -62,28 +84,12 @@ from repro.runtime.codecs import (
     decode_array,
     entry_nbytes,
 )
-from repro.runtime.messages import (
-    BnStatsPush,
-    CombinedPush,
-    CompensationMessage,
-    GossipReport,
-    GradientPush,
-    Message,
-    PullReply,
-    PullRequest,
-    Shutdown,
-    StatePush,
-    TracePush,
-    WeightExchange,
-)
+from repro.runtime.messages import MESSAGE_TYPES, Message
 
 #: bumped whenever the header schema or codec tables change incompatibly;
-#: v2 = codec-entry array metadata + logical ``nbytes`` in the header
-PROTOCOL_VERSION = 2
-
-#: dtype the raw32 codec casts float payloads to (matches the
-#: ``model_bytes = params * 4`` accounting in repro.runtime.session)
-WIRE_DTYPE = np.float32
+#: v2 = codec-entry array metadata + logical ``nbytes`` in the header;
+#: v3 = fields derived from the message dataclasses, entries inline
+PROTOCOL_VERSION = 3
 
 #: refuse frames beyond this size — enforced on *both* ends: a corrupt
 #: length prefix must not trigger a gigabyte allocation, and an oversized
@@ -91,7 +97,6 @@ WIRE_DTYPE = np.float32
 MAX_FRAME_BYTES = 1 << 30
 
 _LEN = struct.Struct(">I")
-
 
 class WireError(RuntimeError):
     """Malformed frame, unknown message kind, or protocol violation."""
@@ -157,290 +162,212 @@ class ControlFrame:
 
 
 # ---------------------------------------------------------------------- #
-# per-kind codecs: message -> (fields, [(role, array), ...]) and back.
-# Decoders receive (fields, arrays, owned); any array that outlives the
-# frame must be owned (copied when the flag says it is borrowed).
+# the codec, derived from the message dataclasses
 # ---------------------------------------------------------------------- #
-def _owned(array: np.ndarray, owned: bool) -> np.ndarray:
-    return array if owned else np.array(array)
+_Encode = Callable[[Any, "_Encoding"], Any]
+_Decode = Callable[[Any, Any], Any]
+
+_ROLES = (ROLE_GRAD, ROLE_WEIGHTS, ROLE_BN)
+_JSON_SCALARS = (bool, int, float, str, type(None))
 
 
-def _state_fields(state: WorkerState) -> Dict[str, Any]:
-    return {
-        "worker": state.worker,
-        "loss": float(state.loss),
-        "t_comm": float(state.t_comm),
-        "t_comp": float(state.t_comp),
-        "pull_version": int(state.pull_version),
-        "bn_layers": len(state.bn_stats),
-    }
+class _Encoding:
+    """One message's array output: codec entries and the buffers to send."""
+
+    def __init__(self, codec: GradientCodec) -> None:
+        self.codec = codec
+        self.entries: List[Dict[str, Any]] = []
+        self.buffers: List[np.ndarray] = []
+
+    def array(self, role: str, array: np.ndarray) -> Dict[str, Any]:
+        entry, buffers = self.codec.encode(role, array)
+        self.entries.append(entry)
+        self.buffers.extend(buffers)
+        return entry
 
 
-def _state_arrays(state: WorkerState) -> List[Tuple[str, np.ndarray]]:
-    arrays: List[Tuple[str, np.ndarray]] = []
-    for mean, var in state.bn_stats:
-        arrays.append((ROLE_BN, mean))
-        arrays.append((ROLE_BN, var))
-    return arrays
+class _FrameArrays:
+    """Array source for one frame decode: the payload after the header."""
+
+    def __init__(self, payload: memoryview, copy: bool) -> None:
+        self._payload = payload
+        self._copy = copy
+        self._offset = 0
+        # the memory a kept array must not share (none when copying)
+        self._base = None if copy else np.frombuffer(payload, dtype=np.uint8)
+
+    def take(self, entry: Any) -> np.ndarray:
+        if not isinstance(entry, dict):
+            raise WireError(f"array entry must be an object, got {entry!r}")
+        parts: List[np.ndarray] = []
+        for part in entry.get("parts", ()):
+            dtype_name = part.get("dtype") if isinstance(part, dict) else None
+            if dtype_name not in codecs_mod.PART_DTYPES:
+                raise WireError(f"disallowed array part dtype {dtype_name!r}")
+            dtype = np.dtype(dtype_name)
+            n = int(part.get("n", 0))
+            nbytes = n * dtype.itemsize
+            remaining = self._payload.nbytes - self._offset
+            if n < 0 or nbytes > remaining:
+                raise WireError(
+                    f"array payload truncated: expected {nbytes} bytes, got {remaining}"
+                )
+            parts.append(
+                np.frombuffer(self._payload, dtype=dtype, count=n, offset=self._offset)
+            )
+            self._offset += nbytes
+        # decode allocates from a peer-controlled shape (topk densifies):
+        # no array may outgrow what a raw32 frame could have carried
+        if codecs_mod._shape_size(entry.get("shape", ())) > MAX_FRAME_BYTES // 4:
+            raise WireError(f"array shape {entry.get('shape')!r} exceeds the frame cap")
+        return decode_array(entry, parts, copy=self._copy)[0]
+
+    def own(self, value: Any) -> Any:
+        """``value``, copied if it is an array viewing the receive buffer."""
+        if (
+            self._base is not None
+            and isinstance(value, np.ndarray)
+            and np.may_share_memory(value, self._base)
+        ):
+            return value.copy()
+        return value
+
+    def finish(self) -> None:
+        unclaimed = self._payload.nbytes - self._offset
+        if unclaimed:
+            raise WireError(f"frame carries {unclaimed} unclaimed payload byte(s)")
 
 
-def _state_from(fields: Dict[str, Any], arrays, owned) -> WorkerState:
-    layers = int(fields["bn_layers"])
-    bn_stats = [
-        (_owned(arrays[2 * i], owned[2 * i]), _owned(arrays[2 * i + 1], owned[2 * i + 1]))
-        for i in range(layers)
-    ]
-    return WorkerState(
-        worker=int(fields["worker"]),
-        loss=float(fields["loss"]),
-        bn_stats=bn_stats,
-        t_comm=float(fields["t_comm"]),
-        t_comp=float(fields["t_comp"]),
-        pull_version=int(fields["pull_version"]),
-    )
+class _BufferArrays:
+    """Array source for an in-memory round trip: the encoder's own buffers."""
+
+    def __init__(self, buffers: List[np.ndarray]) -> None:
+        self._buffers = iter(buffers)
+
+    def take(self, entry: Dict[str, Any]) -> np.ndarray:
+        parts = [next(self._buffers) for _ in entry["parts"]]
+        return decode_array(entry, parts, copy=False)[0]
+
+    def own(self, value: Any) -> Any:
+        return value
 
 
-def _payload_fields(payload: GradientPayload) -> Dict[str, Any]:
-    return {
-        "worker": payload.worker,
-        "pull_version": int(payload.pull_version),
-        "loss": float(payload.loss),
-    }
+def _compile(hint: Any, where: str) -> Tuple[_Encode, _Decode]:
+    """The (encode, decode) pair for one annotation; ``where`` is the
+    ``Class.field`` it belongs to, named in every error."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint in (bool, int, float, str):
 
+        def decode_scalar(doc, arrays):
+            if type(doc) is not hint:
+                raise WireError(f"{where} must be {hint.__name__}, got {doc!r}")
+            return doc
 
-def _payload_from(fields: Dict[str, Any], grad: np.ndarray) -> GradientPayload:
-    # GradientPayload.__post_init__ casts to float64 math precision (a
-    # copy — safe even from a borrowed frombuffer view) and recomputes
-    # nbytes from the float32 wire size
-    return GradientPayload(
-        worker=int(fields["worker"]),
-        grad=grad,
-        pull_version=int(fields["pull_version"]),
-        loss=float(fields["loss"]),
-    )
-
-
-def _enc_pull_request(msg: PullRequest):
-    return {"worker": msg.worker, "sent_at": float(msg.sent_at)}, []
-
-
-def _dec_pull_request(fields, arrays, owned):
-    return PullRequest(int(fields["worker"]), sent_at=float(fields["sent_at"]))
-
-
-def _enc_pull_reply(msg: PullReply):
-    fields = {
-        "worker": msg.worker,
-        "version": int(msg.version),
-        "request_sent_at": float(msg.request_sent_at),
-        "has_weights": msg.weights is not None,
-    }
-    arrays = [] if msg.weights is None else [(ROLE_WEIGHTS, msg.weights)]
-    return fields, arrays
-
-
-def _dec_pull_reply(fields, arrays, owned):
-    weights = _owned(arrays[0], owned[0]) if fields["has_weights"] else None
-    return PullReply(
-        int(fields["worker"]),
-        weights=weights,
-        version=int(fields["version"]),
-        request_sent_at=float(fields["request_sent_at"]),
-    )
-
-
-def _enc_state_push(msg: StatePush):
-    return {"worker": msg.worker, "state": _state_fields(msg.state)}, _state_arrays(msg.state)
-
-
-def _dec_state_push(fields, arrays, owned):
-    return StatePush(
-        int(fields["worker"]), state=_state_from(fields["state"], arrays, owned)
-    )
-
-
-def _enc_compensation(msg: CompensationMessage):
-    reply = None
-    if msg.reply is not None:
-        reply = {
-            "worker": msg.reply.worker,
-            "l_delay": float(msg.reply.l_delay),
-            "predicted_step": int(msg.reply.predicted_step),
-            "sensitivity": float(msg.reply.sensitivity),
-        }
-    return {"worker": msg.worker, "reply": reply}, []
-
-
-def _dec_compensation(fields, arrays, owned):
-    reply = None
-    if fields["reply"] is not None:
-        r = fields["reply"]
-        reply = CompensationReply(
-            worker=int(r["worker"]),
-            l_delay=float(r["l_delay"]),
-            predicted_step=int(r["predicted_step"]),
-            sensitivity=float(r["sensitivity"]),
+        return (lambda value, out: hint(value)), decode_scalar
+    if origin is Annotated and args[0] is np.ndarray and args[1] in _ROLES:
+        role = args[1]
+        return (lambda value, out: out.array(role, value)), (
+            lambda doc, arrays: arrays.take(doc)
         )
-    return CompensationMessage(int(fields["worker"]), reply=reply)
-
-
-def _enc_gradient_push(msg: GradientPush):
-    return (
-        {"worker": msg.worker, "payload": _payload_fields(msg.payload)},
-        [(ROLE_GRAD, msg.payload.grad)],
-    )
-
-
-def _dec_gradient_push(fields, arrays, owned):
-    return GradientPush(
-        int(fields["worker"]), payload=_payload_from(fields["payload"], arrays[0])
-    )
-
-
-def _enc_combined_push(msg: CombinedPush):
-    fields = {
-        "worker": msg.worker,
-        "state": _state_fields(msg.state),
-        "payload": _payload_fields(msg.payload),
-    }
-    return fields, _state_arrays(msg.state) + [(ROLE_GRAD, msg.payload.grad)]
-
-
-def _dec_combined_push(fields, arrays, owned):
-    return CombinedPush(
-        int(fields["worker"]),
-        state=_state_from(fields["state"], arrays[:-1], owned[:-1]),
-        payload=_payload_from(fields["payload"], arrays[-1]),
-    )
-
-
-def _enc_shutdown(msg: Shutdown):
-    return {"worker": msg.worker}, []
-
-
-def _dec_shutdown(fields, arrays, owned):
-    return Shutdown(int(fields["worker"]))
-
-
-def _enc_bn_stats(msg: BnStatsPush):
-    arrays: List[Tuple[str, np.ndarray]] = []
-    for mean, var in msg.stats:
-        arrays.append((ROLE_BN, mean))
-        arrays.append((ROLE_BN, var))
-    return {"worker": msg.worker, "bn_layers": len(msg.stats)}, arrays
-
-
-def _dec_bn_stats(fields, arrays, owned):
-    layers = int(fields["bn_layers"])
-    stats = tuple(
-        (_owned(arrays[2 * i], owned[2 * i]), _owned(arrays[2 * i + 1], owned[2 * i + 1]))
-        for i in range(layers)
-    )
-    return BnStatsPush(int(fields["worker"]), stats=stats)
-
-
-def _enc_trace_push(msg: TracePush):
-    # trace rows are small JSON-safe scalars ([t, kind, worker, *fields]):
-    # they ride the header, no array part — the data plane stays untouched
-    return {"worker": msg.worker, "rows": [list(row) for row in msg.rows]}, []
-
-
-def _dec_trace_push(fields, arrays, owned):
-    return TracePush(
-        int(fields["worker"]), rows=tuple(list(row) for row in fields["rows"])
-    )
-
-
-def _enc_weight_exchange(msg: WeightExchange):
-    fields = {
-        "worker": msg.worker,
-        "step": int(msg.step),
-        "has_weights": msg.weights is not None,
-        "bn_layers": len(msg.bn_stats),
-    }
-    arrays: List[Tuple[str, np.ndarray]] = []
-    if msg.weights is not None:
-        arrays.append((ROLE_WEIGHTS, msg.weights))
-    for mean, var in msg.bn_stats:
-        arrays.append((ROLE_BN, mean))
-        arrays.append((ROLE_BN, var))
-    return fields, arrays
-
-
-def _dec_weight_exchange(fields, arrays, owned):
-    base = 0
-    weights = None
-    if fields["has_weights"]:
-        weights = _owned(arrays[0], owned[0])
-        base = 1
-    layers = int(fields["bn_layers"])
-    bn_stats = tuple(
-        (
-            _owned(arrays[base + 2 * i], owned[base + 2 * i]),
-            _owned(arrays[base + 2 * i + 1], owned[base + 2 * i + 1]),
+    if origin is Union and len(args) == 2 and type(None) in args:
+        enc, dec = _compile(next(arg for arg in args if arg is not type(None)), where)
+        return (lambda value, out: None if value is None else enc(value, out)), (
+            lambda doc, arrays: None if doc is None else dec(doc, arrays)
         )
-        for i in range(layers)
-    )
-    return WeightExchange(
-        int(fields["worker"]),
-        weights=weights,
-        bn_stats=bn_stats,
-        step=int(fields["step"]),
-    )
+    if origin is Union and all(arg in _JSON_SCALARS for arg in args):
+
+        def decode_json(doc, arrays):
+            if type(doc) not in args:
+                raise WireError(f"{where} must be a JSON scalar, got {doc!r}")
+            return doc
+
+        return (lambda value, out: value), decode_json
+    if (origin is list and len(args) == 1) or (
+        origin is tuple and len(args) == 2 and args[1] is Ellipsis
+    ):
+        enc, dec = _compile(args[0], where)
+
+        def decode_seq(doc, arrays):
+            if type(doc) is not list:
+                raise WireError(f"{where} must be a list, got {doc!r}")
+            return origin(arrays.own(dec(item, arrays)) for item in doc)
+
+        return (lambda value, out: [enc(item, out) for item in value]), decode_seq
+    if origin is tuple and args and Ellipsis not in args:
+        items = [_compile(arg, where) for arg in args]
+
+        def decode_fixed(doc, arrays):
+            if type(doc) is not list or len(doc) != len(items):
+                raise WireError(f"{where} must be a {len(items)}-item list, got {doc!r}")
+            return tuple(arrays.own(dec(item, arrays)) for (_, dec), item in zip(items, doc))
+
+        return (
+            lambda value, out: [enc(item, out) for (enc, _), item in zip(items, value)]
+        ), decode_fixed
+    if isinstance(hint, type) and dataclasses.is_dataclass(hint):
+        return _plan(hint)
+    raise TypeError(f"{where}: unsupported wire annotation {hint!r}")
 
 
-def _enc_gossip_report(msg: GossipReport):
-    return {
-        "worker": msg.worker,
-        "loss": float(msg.loss),
-        "staleness": int(msg.staleness),
-        "local_step": int(msg.local_step),
-    }, []
+#: (encode, decode) per dataclass, built once per class
+_PLANS: Dict[type, Tuple[_Encode, _Decode]] = {}
 
 
-def _dec_gossip_report(fields, arrays, owned):
-    return GossipReport(
-        int(fields["worker"]),
-        loss=float(fields["loss"]),
-        staleness=int(fields["staleness"]),
-        local_step=int(fields["local_step"]),
-    )
+def _plan(cls: type) -> Tuple[_Encode, _Decode]:
+    """A dataclass's codec: its fields as an object, in declaration order."""
+    plan = _PLANS.get(cls)
+    if plan is not None:
+        return plan
+    hints = get_type_hints(cls, include_extras=True)
+    fields = []
+    for f in dataclasses.fields(cls):
+        where = f"{cls.__name__}.{f.name}"
+        if not f.init:
+            raise TypeError(f"{where}: an init=False field cannot be rebuilt on decode")
+        fields.append((f.name, *_compile(hints[f.name], where)))
+
+    def encode(value, out):
+        return {name: enc(getattr(value, name), out) for name, enc, _ in fields}
+
+    def decode(doc, arrays):
+        if not isinstance(doc, dict):
+            raise WireError(f"{cls.__name__} must be an object, got {doc!r}")
+        obj = cls(**{name: dec(doc[name], arrays) for name, _, dec in fields})
+        # a field the class kept as given may still view the receive
+        # buffer (one it cast, like GradientPayload.grad, owns its copy)
+        for name, _, _ in fields:
+            value = getattr(obj, name)
+            if isinstance(value, np.ndarray):
+                object.__setattr__(obj, name, arrays.own(value))
+        return obj
+
+    plan = _PLANS[cls] = (encode, decode)
+    return plan
 
 
-_CODECS = {
-    "PullRequest": (PullRequest, _enc_pull_request, _dec_pull_request),
-    "PullReply": (PullReply, _enc_pull_reply, _dec_pull_reply),
-    "StatePush": (StatePush, _enc_state_push, _dec_state_push),
-    "CompensationMessage": (CompensationMessage, _enc_compensation, _dec_compensation),
-    "GradientPush": (GradientPush, _enc_gradient_push, _dec_gradient_push),
-    "CombinedPush": (CombinedPush, _enc_combined_push, _dec_combined_push),
-    "Shutdown": (Shutdown, _enc_shutdown, _dec_shutdown),
-    "BnStatsPush": (BnStatsPush, _enc_bn_stats, _dec_bn_stats),
-    "TracePush": (TracePush, _enc_trace_push, _dec_trace_push),
-    "WeightExchange": (WeightExchange, _enc_weight_exchange, _dec_weight_exchange),
-    "GossipReport": (GossipReport, _enc_gossip_report, _dec_gossip_report),
-}
-_ENCODERS = {cls: (kind, enc) for kind, (cls, enc, _) in _CODECS.items()}
+# every class in repro.runtime.messages is checked here, at import
+for _message_cls in tuple(MESSAGE_TYPES.values()):
+    _plan(_message_cls)
+del _message_cls
 
 
 # ---------------------------------------------------------------------- #
 # frame encode/decode
 # ---------------------------------------------------------------------- #
-def _message_parts(message: Message, codec: Optional[GradientCodec]):
-    """(kind, fields, entries, buffers) for one envelope."""
-    try:
-        kind, encoder = _ENCODERS[type(message)]
-    except KeyError:
-        raise WireError(f"no wire codec for {type(message).__name__}")
-    fields, role_arrays = encoder(message)
-    codec = codec or RAW32
-    entries: List[Dict[str, Any]] = []
-    buffers: List[np.ndarray] = []
-    for role, array in role_arrays:
-        entry, bufs = codec.encode(role, array)
-        entries.append(entry)
-        buffers.extend(bufs)
-    return kind, fields, entries, buffers
+def _encode(
+    message: Message, codec: Optional[GradientCodec]
+) -> Tuple[str, Dict[str, Any], _Encoding]:
+    """(kind, header fields, array output) for one envelope."""
+    cls = type(message)
+    if MESSAGE_TYPES.get(cls.__name__) is not cls:
+        raise WireError(f"no wire codec for {cls.__name__}")
+    out = _Encoding(codec or RAW32)
+    return cls.__name__, _plan(cls)[0](message, out), out
+
+
+def _pack_header(header: Dict[str, Any]) -> bytes:
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return _LEN.pack(len(header_bytes)) + header_bytes
 
 
 def encode_message_into(
@@ -456,17 +383,15 @@ def encode_message_into(
     ready for a vectored send.  ``nbytes`` is the sender's logical byte
     count, carried in the header so both ends account identically.
     """
-    kind, fields, entries, buffers = _message_parts(message, codec)
+    kind, fields, out = _encode(message, codec)
     header = {
         "v": PROTOCOL_VERSION,
         "kind": kind,
         "delay": float(delay),
         "nbytes": int(nbytes),
         "fields": fields,
-        "arrays": entries,
     }
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return _LEN.pack(len(header_bytes)) + header_bytes, buffers
+    return _pack_header(header), out.buffers
 
 
 def encode_message(
@@ -484,46 +409,7 @@ def encode_message(
 def encode_control(doc: Dict[str, Any]) -> bytes:
     """Serialize a control document (a :class:`ControlFrame` doc or any
     plain JSON dict)."""
-    header = {"v": PROTOCOL_VERSION, "kind": "control", "delay": 0.0,
-              "fields": doc, "arrays": []}
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return _LEN.pack(len(header_bytes)) + header_bytes
-
-
-def _decode_arrays(
-    view: memoryview, entries: List[Dict[str, Any]], copy: bool
-) -> Tuple[List[np.ndarray], List[bool]]:
-    """Split the payload region into per-entry arrays (views when
-    ``copy=False``) and decode each entry's encoding."""
-    arrays: List[np.ndarray] = []
-    owned: List[bool] = []
-    offset = 0
-    total = view.nbytes
-    for entry in entries:
-        parts: List[np.ndarray] = []
-        for part in entry.get("parts", ()):
-            dtype_name = part.get("dtype") if isinstance(part, dict) else None
-            if dtype_name not in codecs_mod.PART_DTYPES:
-                raise WireError(f"disallowed array part dtype {dtype_name!r}")
-            dtype = np.dtype(dtype_name)
-            n = int(part.get("n", 0))
-            nbytes = n * dtype.itemsize
-            if n < 0 or offset + nbytes > total:
-                raise WireError(
-                    f"array payload truncated: expected {nbytes} bytes, "
-                    f"got {total - offset}"
-                )
-            parts.append(np.frombuffer(view, dtype=dtype, count=n, offset=offset))
-            offset += nbytes
-        try:
-            array, own = decode_array(entry, parts, copy=copy)
-        except codecs_mod.CodecError as exc:
-            raise WireError(str(exc))
-        arrays.append(array)
-        owned.append(own)
-    if offset != total:
-        raise WireError(f"frame carries {total - offset} unclaimed payload byte(s)")
-    return arrays, owned
+    return _pack_header({"v": PROTOCOL_VERSION, "kind": "control", "fields": doc})
 
 
 def decode_frame(
@@ -533,9 +419,9 @@ def decode_frame(
 
     Returns ``(message, delay, logical_nbytes)`` for message frames and
     ``(doc, 0.0, 0)`` for control frames.  With ``copy=False`` array data
-    is read straight out of ``payload`` with no intermediate copy; the
-    per-kind decoders still own everything a message retains, so decoded
-    messages never alias the buffer.
+    is read straight out of ``payload`` with no intermediate copy; a
+    decoded message still never aliases the buffer.  Every malformed
+    input raises :class:`WireError`.
     """
     view = memoryview(payload)
     if view.nbytes < _LEN.size:
@@ -545,22 +431,33 @@ def decode_frame(
         raise WireError(f"header length {header_len} exceeds frame size {view.nbytes}")
     try:
         header = json.loads(bytes(view[_LEN.size : _LEN.size + header_len]).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise WireError(f"unparseable frame header: {exc}")
+    if not isinstance(header, dict):
+        raise WireError(f"frame header must be an object, got {type(header).__name__}")
     check_protocol_version(header.get("v"), PROTOCOL_VERSION)
     kind = header.get("kind")
-    delay = float(header.get("delay", 0.0))
-    nbytes = int(header.get("nbytes", 0))
-    if kind == "control":
-        return dict(header.get("fields", {})), 0.0, 0
     try:
-        _, _, decoder = _CODECS[kind]
-    except KeyError:
-        raise WireError(f"unknown message kind {kind!r}")
-    arrays, owned = _decode_arrays(
-        view[_LEN.size + header_len :], header.get("arrays", []), copy
-    )
-    return decoder(header["fields"], arrays, owned), delay, nbytes
+        if kind == "control":
+            doc = header.get("fields")
+            if not isinstance(doc, dict):
+                raise WireError(f"control fields must be an object, got {doc!r}")
+            return dict(doc), 0.0, 0
+        cls = MESSAGE_TYPES.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise WireError(f"unknown message kind {kind!r}")
+        delay = float(header.get("delay", 0.0))
+        if not 0.0 <= delay < float("inf"):
+            raise WireError(f"delivery delay must be finite and >= 0, got {delay}")
+        nbytes = int(header.get("nbytes", 0))
+        arrays = _FrameArrays(view[_LEN.size + header_len :], copy)
+        message = _plan(cls)[1](header["fields"], arrays)
+        arrays.finish()
+        return message, delay, nbytes
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        # well framed but malformed (a wrong field type, or a class's own
+        # check such as WorkerState's finite loss): still a wire error
+        raise WireError(f"malformed {kind!r} frame: {exc!r}") from exc
 
 
 def decode(
@@ -577,24 +474,17 @@ def codec_roundtrip_message(
     """Apply a codec's lossy encode/decode to an in-memory message.
 
     What the in-process transports use to emulate compression without a
-    socket: returns the message as the peer would decode it, plus the
-    wire byte count (the logical ``nbytes`` with each array's float32
-    footprint swapped for its encoded footprint).
+    socket: returns the message as the peer would decode it (through the
+    same plan as a frame), plus the wire byte count (the logical
+    ``nbytes`` with each array's float32 footprint swapped for its
+    encoded footprint).
     """
-    kind, fields, entries, buffers = _message_parts(message, codec)
-    _, _, decoder = _CODECS[kind]
-    arrays: List[np.ndarray] = []
-    wire_nbytes = int(nbytes)
-    cursor = 0
-    for entry in entries:
-        parts = buffers[cursor : cursor + len(entry["parts"])]
-        cursor += len(entry["parts"])
-        array, _ = decode_array(entry, parts, copy=False)
-        arrays.append(array)
-        # logical accounting charges float32 per element; swap that for
-        # the encoded footprint to get what a socket would carry
-        wire_nbytes += entry_nbytes(entry) - 4 * codecs_mod._shape_size(entry["shape"])
-    decoded = decoder(fields, arrays, [True] * len(arrays))
+    _, fields, out = _encode(message, codec)
+    decoded = _plan(type(message))[1](fields, _BufferArrays(out.buffers))
+    wire_nbytes = int(nbytes) + sum(
+        entry_nbytes(entry) - 4 * codecs_mod._shape_size(entry["shape"])
+        for entry in out.entries
+    )
     return decoded, max(0, wire_nbytes)
 
 
@@ -714,6 +604,10 @@ class FrameConnection:
     def settimeout(self, timeout: Union[float, None]) -> None:
         """Deadline for subsequent socket reads/writes (None = blocking)."""
         self._sock.settimeout(timeout)
+
+    def shutdown_write(self) -> None:
+        """Half-close: the peer reads EOF, this side can still read."""
+        self._sock.shutdown(socket.SHUT_WR)
 
     def close(self) -> None:
         try:

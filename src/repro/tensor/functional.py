@@ -26,21 +26,18 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.tensor.tensor import Tensor
-from repro.utils.rng import fallback_rng
 
 __all__ = [
     "linear",
     "softmax",
     "log_softmax",
     "cross_entropy",
-    "nll_loss",
     "mse_loss",
     "conv2d",
     "max_pool2d",
     "avg_pool2d",
     "global_avg_pool2d",
     "batch_norm",
-    "dropout",
 ]
 
 
@@ -138,22 +135,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") 
 
     out = Tensor._make(np.asarray(value, dtype=logits.data.dtype), (logits,), _backward)
     return out
-
-
-def nll_loss(logp: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Negative log-likelihood over precomputed log-probabilities."""
-    if isinstance(targets, Tensor):
-        targets = targets.data
-    targets = np.asarray(targets).astype(np.int64).reshape(-1)
-    n = logp.data.shape[0]
-    picked = logp[np.arange(n), targets]
-    if reduction == "mean":
-        return -picked.mean()
-    if reduction == "sum":
-        return -picked.sum()
-    if reduction == "none":
-        return -picked
-    raise ValueError(f"unknown reduction {reduction!r}")
 
 
 def mse_loss(pred: Tensor, target, reduction: str = "mean") -> Tensor:
@@ -387,20 +368,3 @@ def batch_norm(
 
     out = Tensor._make(out_data, (x, gamma, beta), _backward)
     return out, mean, var
-
-
-def dropout(x: Tensor, p: float, training: bool = True, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout with keep-probability ``1 - p``."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    gen = rng if rng is not None else fallback_rng()
-    mask = (gen.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    out_data = x.data * mask
-
-    def _backward() -> None:
-        x._accumulate(out.grad * mask)
-
-    out = Tensor._make(out_data, (x,), _backward)
-    return out

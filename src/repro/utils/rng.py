@@ -29,8 +29,8 @@ def fallback_rng() -> np.random.Generator:
     fallback used to be an *unseeded* ``default_rng()``, which made "I
     forgot to pass an rng" silently nondeterministic.  Every such call
     now starts from :data:`FALLBACK_SEED` instead.  Each call returns an
-    independent Generator with the same initial state — two Dropout
-    layers built without an rng will draw identical streams, which is
+    independent Generator with the same initial state — two layers
+    built without an rng will draw identical streams, which is
     the price of determinism by default; pass explicit generators (e.g.
     from an :class:`RngTree`) where streams must differ.
     """

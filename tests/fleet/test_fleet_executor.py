@@ -240,6 +240,24 @@ def test_second_scheduler_is_turned_away_busy():
         agent.close()
 
 
+def test_back_to_back_sessions_are_never_turned_away_busy():
+    """A scheduler that connects right after the previous one closed must
+    be welcomed: closing a link waits until the agent has freed its
+    session slot, so there is no window in which it still answers busy."""
+    import queue
+
+    from repro.fleet.scheduler import AgentLink
+
+    agent = FleetAgent(port=0, slots=1).start()
+    try:
+        for _ in range(40):
+            link = AgentLink(*agent.address, events_out=queue.Queue(), connect_timeout=5.0)
+            assert link.slots == 1
+            link.close()
+    finally:
+        agent.close()
+
+
 def test_silent_connection_cannot_wedge_the_agent():
     """A connection that never sends hello (port scan, dead scheduler host)
     must be abandoned after the silence window instead of holding the

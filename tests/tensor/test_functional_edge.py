@@ -116,20 +116,6 @@ def test_batch_norm_rejects_3d(rng):
         F.batch_norm(x, g, b)
 
 
-def test_dropout_train_and_eval(rng):
-    x = Tensor(np.ones((1000,)), requires_grad=True)
-    gen = np.random.default_rng(0)
-    out = F.dropout(x, 0.5, training=True, rng=gen)
-    kept = (out.data != 0).mean()
-    assert 0.4 < kept < 0.6
-    # inverted scaling keeps the expectation
-    assert out.data.mean() == pytest.approx(1.0, abs=0.1)
-    assert F.dropout(x, 0.5, training=False) is x
-    assert F.dropout(x, 0.0, training=True) is x
-    with pytest.raises(ValueError):
-        F.dropout(x, 1.0)
-
-
 def test_no_grad_disables_graph(rng):
     x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
     with no_grad():
