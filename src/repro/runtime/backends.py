@@ -51,8 +51,8 @@ class ExecutionBackend:
 class SimBackend(ExecutionBackend):
     """The virtual-time event-loop executor, wrapped as a backend.
 
-    Delegates to :class:`~repro.core.trainer.DistributedTrainer`, which owns
-    the event-scheduling flavor of the worker cycle.  Imported lazily to
+    Delegates to :class:`~repro.core.trainer.DistributedTrainer`, which
+    drives the shared worker cycle and server dispatch with simulator events.  Imported lazily to
     keep ``repro.runtime`` importable without dragging in the trainer (and
     to avoid a cycle: the trainer itself builds plans from this package).
     """

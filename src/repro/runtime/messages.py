@@ -1,15 +1,16 @@
 """Typed message envelopes exchanged over a runtime Transport.
 
-These mirror the seven arrows of the worker cycle documented in
-:mod:`repro.core.trainer`: pull request, pull reply (weights down),
-``state_m`` push, compensation reply, gradient push — plus the fused
-state+gradient arrival the non-LC algorithms use, and a Shutdown sentinel
-that wakes any thread blocked on a mailbox.
+These mirror the arrows of the worker cycle in :mod:`repro.runtime.cycle`
+(served by :func:`repro.runtime.server_actor.serve`): pull request, pull
+reply (weights down), ``state_m`` push, compensation reply, gradient push
+— plus the fused state+gradient arrival the non-LC algorithms use, and a
+Shutdown sentinel that wakes any thread blocked on a mailbox.
 
 Envelope fields carry only what crosses the wire; the mathematics stays in
 :class:`~repro.core.state.WorkerState` / :class:`~repro.core.state.
-GradientPayload` / :class:`~repro.core.state.CompensationReply`, shared
-verbatim with the simulator so both backends speak one protocol.
+GradientPayload` / :class:`~repro.core.state.CompensationReply`.  Every
+backend, the simulator included, passes these same envelopes between the
+cycle and the server, so all of them speak one protocol.
 
 The field annotations *are* the wire schema: :mod:`repro.runtime.wire`
 derives every codec from them, so a new envelope is a new dataclass here

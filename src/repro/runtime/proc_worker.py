@@ -12,9 +12,10 @@ never by hand.  The child:
    WorkerRuntime` — initialization is re-derived from the seed, so only
    weights travel over the wire after this point — and arms the
    negotiated gradient codec (``comm_codec``) on its uplink;
-3. runs the paper's cycle — pull -> forward -> state push ->
-   [compensation reply] -> backward -> push — free-running against the
-   parent's server actor, sleeping out emulated uplink (``time_scale``)
+3. runs the shared worker cycle (:mod:`repro.runtime.cycle`: pull ->
+   forward -> state push -> [compensation reply] -> backward -> push)
+   free-running against the parent's server actor, with real timing read
+   off the child's clock, sleeping out emulated uplink (``time_scale``)
    and compute (``compute_scale``) delays locally;
 4. exits 0 on :class:`~repro.runtime.messages.Shutdown` (or on parent
    EOF — an orphaned child never lingers), nonzero on any failure.
@@ -42,18 +43,10 @@ from repro.core.config import TrainingConfig
 from repro.nn.norm import bn_layers
 from repro.obs.recorder import NULL_RECORDER, make_recorder
 from repro.runtime.codecs import make_codec
+from repro.runtime.cycle import RealTiming, run_cycle, worker_cycle
 from repro.runtime.proc_backend import TOKEN_ENV
-from repro.runtime.messages import (
-    BnStatsPush,
-    CombinedPush,
-    GradientPush,
-    Message,
-    PullRequest,
-    Shutdown,
-    StatePush,
-    TracePush,
-)
-from repro.runtime.session import REQUEST_BYTES, WorkerRuntime
+from repro.runtime.messages import BnStatsPush, Message, Shutdown, TracePush
+from repro.runtime.session import WorkerRuntime
 from repro.runtime.transport import Mailbox
 from repro.runtime.wire import (
     PROTOCOL_VERSION,
@@ -62,6 +55,7 @@ from repro.runtime.wire import (
     FrameConnection,
     WireError,
 )
+from repro.utils.timer import Timer
 
 #: exit code for a config/build failure already reported over the socket
 EXIT_INIT_FAILURE = 2
@@ -131,7 +125,7 @@ def run_worker(
     compute_scale: float,
     recorder=NULL_RECORDER,
 ) -> None:
-    """The paper's cycle, free-running until the server says Shutdown.
+    """The shared worker cycle, free-running until the server says Shutdown.
 
     With an obs recorder attached, each cycle emits per-phase ``span``
     events — wire (pull/compensation waits), compute (forward/backward),
@@ -140,84 +134,23 @@ def run_worker(
     parent-side attribution sums, so the clock skew between parent and
     child timebases never matters.
     """
-    m = runtime.worker_id
-    worker = runtime.worker
-    config = runtime.config
-    crash_after = _crash_after(m)
+    crash_after = _crash_after(runtime.worker_id)
     start = time.perf_counter()
-    obs = recorder.enabled
-
-    def now() -> float:
-        return time.perf_counter() - start
-
+    timing = RealTiming(
+        runtime.worker,
+        runtime.compute,
+        lambda: time.perf_counter() - start,
+        Timer(),  # compute cost leaves the child as ``compute`` spans instead
+        compute_scale=compute_scale,
+        recorder=recorder,
+    )
     cycles = 0
-    while True:
-        if crash_after is not None and cycles >= crash_after:
-            os._exit(EXIT_CRASH_INJECTED)  # simulate a SIGKILLed/crashed node
-        t0 = now()
-        channel.to_server(PullRequest(m, sent_at=t0), nbytes=REQUEST_BYTES)
-        msg = channel.inbox.get()
-        if isinstance(msg, Shutdown):
+    while crash_after is None or cycles < crash_after:
+        cycle = worker_cycle(runtime.worker, runtime, timing.clock)
+        if not run_cycle(cycle, timing, channel.to_server, channel.inbox.get):
             return
-        if obs:
-            recorder.emit(now(), "span", m, phase="wire", dur_ms=(now() - t0) * 1e3)
-        # virtual durations drive emulation sleeps only; features are real
-        dur_fwd = runtime.compute.duration(m, fraction=1.0 / 3.0)
-        dur_bwd = runtime.compute.duration(m, fraction=2.0 / 3.0)
-        t_comm = now() - msg.request_sent_at
-        worker.load_params(msg.weights, msg.version, t_comm)
-
-        fwd_start = now()
-        state = worker.forward()
-        if compute_scale > 0:
-            time.sleep(compute_scale * dur_fwd)
-        if obs:
-            recorder.emit(
-                now(), "span", m, phase="compute", dur_ms=(now() - fwd_start) * 1e3
-            )
-
-        reply = None
-        if runtime.requires_compensation:
-            t0 = now()
-            channel.to_server(StatePush(m, state=state), nbytes=runtime.state_bytes)
-            msg = channel.inbox.get()
-            if isinstance(msg, Shutdown):
-                return
-            reply = msg.reply
-            if obs:
-                recorder.emit(
-                    now(), "span", m, phase="wire", dur_ms=(now() - t0) * 1e3
-                )
-
-        bwd_start = time.perf_counter()
-        payload = worker.backward(
-            reply=reply,
-            lc_lambda=config.lc_lambda,
-            compensation=config.compensation,
-            t_comp=0.0,
-        )
-        if compute_scale > 0:
-            time.sleep(compute_scale * dur_bwd)
-        worker.last_t_comp = time.perf_counter() - bwd_start
-        if obs:
-            recorder.emit(
-                now(), "span", m, phase="compute",
-                dur_ms=(time.perf_counter() - bwd_start) * 1e3,
-            )
-
-        push_start = now()
-        if runtime.requires_compensation:
-            channel.to_server(GradientPush(m, payload=payload), nbytes=runtime.model_bytes)
-        else:
-            channel.to_server(
-                CombinedPush(m, state=state, payload=payload),
-                nbytes=runtime.model_bytes + runtime.state_bytes,
-            )
-        if obs:
-            recorder.emit(
-                now(), "span", m, phase="encode", dur_ms=(now() - push_start) * 1e3
-            )
         cycles += 1
+    os._exit(EXIT_CRASH_INJECTED)  # simulate a SIGKILLed/crashed node
 
 
 def _stream_local_bn_stats(conn: FrameConnection, runtime: WorkerRuntime) -> None:

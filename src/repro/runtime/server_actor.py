@@ -1,25 +1,28 @@
-"""The server actor loop shared by every concurrent backend.
+"""Algorithm 2's dispatch, and the actor loop that runs it on threads.
 
-One thread owns the :class:`~repro.core.server.ParameterServer` and is the
-only thread that ever calls its handlers — the math needs no locks because
-the actor loop serializes every message.  The loop is transport-agnostic:
-anything exposing the :class:`~repro.runtime.transport.InProcTransport`
-surface (``server_inbox`` / ``to_worker`` / ``wake_all_workers``) can feed
-it, which is how the thread backend (in-process mailboxes) and the proc
-backend (real sockets) execute the identical Algorithm-2 dispatch.
+:func:`serve` is the server side of every message of the worker cycle
+(:mod:`repro.runtime.cycle`); replies leave through a ``send(worker,
+message, nbytes)`` hook.  The simulator calls it from arrival events
+(:class:`~repro.core.trainer.DistributedTrainer`).  In the thread and proc
+backends :func:`server_actor_loop` calls it: one thread owns the server
+and is the only one that calls its handlers, so the math needs no locks.
+The loop reads anything with the :class:`~repro.runtime.transport.
+InProcTransport` surface (``server_inbox`` / ``to_worker`` /
+``wake_all_workers``): in-process mailboxes or the proc backend's sockets.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.analysis.lockorder import make_lock
 from repro.runtime.messages import (
     CombinedPush,
     CompensationMessage,
     GradientPush,
+    Message,
     PullReply,
     PullRequest,
     Shutdown,
@@ -68,17 +71,75 @@ class RunControl:
             raise error.with_traceback(error.__traceback__)
 
 
+def serve(
+    session: ExperimentSession,
+    msg: Message,
+    clock: Callable[[], float],
+    send: Callable[[int, Message, int], None],
+) -> bool:
+    """Algorithm 2 for one worker message; True once the update budget is met.
+
+    ``clock`` is the backend's "now" and ``send(worker, message, nbytes)``
+    carries replies down a worker's link.  Every server-side effect of a
+    message lives here: the handler call, its trace records and
+    ``staleness`` event, serving the pulls an SSGD round held back, and
+    epoch evaluation.
+    """
+    plan = session.plan
+    server = plan.server
+    trace = session.trace
+    now = clock()
+    m = msg.worker
+    if isinstance(msg, PullRequest):
+        weights = server.handle_pull(m, request_time=msg.sent_at)
+        trace.record(now, "pull", m, version=server.version)
+        if weights is not None:  # None: queued behind the SSGD barrier
+            reply_msg = PullReply(
+                m, weights=weights, version=server.pull_versions[m], request_sent_at=msg.sent_at
+            )
+            send(m, reply_msg, plan.model_bytes)
+        return False
+    if isinstance(msg, StatePush):
+        reply = server.handle_state(msg.state)
+        trace.record(now, "state", m, version=server.version, value=msg.state.loss)
+        send(m, CompensationMessage(m, reply=reply), REQUEST_BYTES)
+        return False
+    if isinstance(msg, CombinedPush):
+        advanced, staleness = server.handle_combined(msg.state, msg.payload)
+    elif isinstance(msg, GradientPush):
+        trace.record(now, "gradient", m, version=server.version)
+        advanced, staleness = server.handle_gradient(msg.payload)
+    else:
+        raise TypeError(f"server received {type(msg).__name__}")
+    trace.record(
+        now, "update", m, version=server.version, staleness=staleness, value=msg.payload.loss
+    )
+    # same site, same value as the ClusterTrace update event, so the
+    # trace's staleness histogram matches RunResult.staleness
+    recorder = plan.recorder
+    if recorder.enabled and staleness >= 0:
+        recorder.emit(now, "staleness", m, value=float(int(staleness)), version=server.version)
+    if advanced:
+        for worker, t0 in server.drain_pending_pulls():
+            reply_msg = PullReply(
+                worker,
+                weights=server.params.copy(),
+                version=server.pull_versions[worker],
+                request_sent_at=t0,
+            )
+            send(worker, reply_msg, plan.model_bytes)
+    session.maybe_evaluate(clock())
+    return server.batches_processed >= plan.total_updates
+
+
 def server_actor_loop(session: ExperimentSession, transport, ctl: RunControl) -> None:
-    """Drain the server inbox, dispatching Algorithm 2 until Shutdown.
+    """Drain the server inbox, serving each message until Shutdown.
 
     ``transport`` is anything with the InProcTransport surface.  Failures
     propagate to the backend through ``ctl``; workers are woken so nobody
     blocks on a mailbox that will never fill again.
     """
-    plan = session.plan
-    server = plan.server
-    trace = session.trace
-    recorder = plan.recorder
+    recorder = session.plan.recorder
     try:
         while True:
             msg = transport.server_inbox.get()
@@ -86,67 +147,14 @@ def server_actor_loop(session: ExperimentSession, transport, ctl: RunControl) ->
                 return
             if ctl.done.is_set():
                 continue  # budget met: drop straggler traffic
-            now = ctl.clock()
             if recorder.enabled:
                 recorder.emit(
-                    now, "queue_depth", msg.worker,
+                    ctl.clock(), "queue_depth", msg.worker,
                     queue="server_inbox", depth=transport.server_inbox.approx_len(),
                 )
-            if isinstance(msg, PullRequest):
-                weights = server.handle_pull(msg.worker, request_time=msg.sent_at)
-                trace.record(now, "pull", msg.worker, version=server.version)
-                if weights is not None:  # None: queued behind the SSGD barrier
-                    transport.to_worker(
-                        msg.worker,
-                        PullReply(
-                            msg.worker,
-                            weights=weights,
-                            version=server.pull_versions[msg.worker],
-                            request_sent_at=msg.sent_at,
-                        ),
-                        nbytes=plan.model_bytes,
-                    )
-            elif isinstance(msg, StatePush):
-                reply = server.handle_state(msg.state)
-                trace.record(now, "state", msg.worker, version=server.version, value=msg.state.loss)
-                transport.to_worker(
-                    msg.worker, CompensationMessage(msg.worker, reply=reply), nbytes=REQUEST_BYTES
-                )
-            elif isinstance(msg, (GradientPush, CombinedPush)):
-                if isinstance(msg, CombinedPush):
-                    advanced, staleness = server.handle_combined(msg.state, msg.payload)
-                else:
-                    trace.record(now, "gradient", msg.worker, version=server.version)
-                    advanced, staleness = server.handle_gradient(msg.payload)
-                trace.record(
-                    now, "update", msg.worker,
-                    version=server.version, staleness=staleness, value=msg.payload.loss,
-                )
-                # same site, same value as the ClusterTrace update event, so
-                # the trace's staleness histogram matches RunResult.staleness
-                if recorder.enabled and staleness >= 0:
-                    recorder.emit(
-                        now, "staleness", msg.worker,
-                        value=float(int(staleness)), version=server.version,
-                    )
-                if advanced:
-                    for worker_id, t0 in server.drain_pending_pulls():
-                        transport.to_worker(
-                            worker_id,
-                            PullReply(
-                                worker_id,
-                                weights=server.params.copy(),
-                                version=server.pull_versions[worker_id],
-                                request_sent_at=t0,
-                            ),
-                            nbytes=plan.model_bytes,
-                        )
-                session.maybe_evaluate(ctl.clock())
-                if server.batches_processed >= plan.total_updates:
-                    ctl.done.set()
-                    transport.wake_all_workers(Shutdown())
-            else:
-                raise TypeError(f"server actor received {type(msg).__name__}")
+            if serve(session, msg, ctl.clock, transport.to_worker):
+                ctl.done.set()
+                transport.wake_all_workers(Shutdown())
     except BaseException as exc:  # propagate to the caller via ctl
         ctl.fail(exc)
         transport.wake_all_workers(Shutdown())

@@ -174,6 +174,11 @@ class ExperimentPlan:
     #: execution wiring, not run identity, so it never enters spec keys.
     recorder: object = field(default=NULL_RECORDER, compare=False)
 
+    @property
+    def requires_compensation(self) -> bool:
+        """Whether the algorithm runs the state push -> compensation round trip."""
+        return self.server.rule.requires_compensation
+
     @classmethod
     def from_config(
         cls, config: TrainingConfig, build_workers: bool = True

@@ -3,7 +3,8 @@
 Topology: one *server actor* thread owns the :class:`~repro.core.server.
 ParameterServer` and is the only thread that ever calls its handlers (the
 math needs no locks because the actor loop serializes every message), plus
-``M`` worker threads each running the paper's cycle —
+``M`` worker threads, each running the shared worker cycle of
+:mod:`repro.runtime.cycle` —
 
     pull -> forward -> state push -> [compensation reply] -> backward -> push
 
@@ -12,41 +13,35 @@ is *real*: it is however many gradients the server actor applied between a
 worker's pull and its push, as decided by genuine thread interleaving (and,
 optionally, by emulated link/compute delays).
 
-Two scheduling modes:
+Two scheduling modes, one driver (:func:`~repro.runtime.cycle.run_cycle`):
 
 * **free-running** (default) — workers race; clocks, ``t_comm``/``t_comp``
-  features and staleness all come from the real wall clock.  Two runs with
-  the same seed will differ, exactly like a real cluster.
+  features and staleness all come from the real wall clock
+  (:class:`~repro.runtime.cycle.RealTiming`).  Two runs with the same seed
+  will differ, exactly like a real cluster.
 * **deterministic** — a round-robin turnstile serializes worker cycles
   (worker ``m`` runs one full pull-to-push cycle, then hands the turn to
-  ``m+1``), and timing features are sampled from the plan's virtual
-  compute/network models instead of the clock.  Message order at the server
-  is then a pure function of the seed, so two runs produce bit-identical
-  parameters — this is what the parity and reproducibility tests rely on.
-  The cost is that the serialized schedule pins observed staleness to 0.
+  ``m+1``), and timing features come from per-worker virtual clocks
+  sampled from the plan's compute/network models exactly as the simulator
+  samples them (:class:`~repro.runtime.cycle.VirtualTiming`).  Message
+  order at the server is then a pure function of the seed, so two runs
+  produce bit-identical parameters — this is what the parity and
+  reproducibility tests rely on.  The cost is that the serialized schedule
+  pins observed staleness to 0.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
-import time
 from typing import Optional
 
 from repro.analysis.lockorder import make_condition
 from repro.core.metrics import RunResult
-from repro.runtime.messages import (
-    CombinedPush,
-    GradientPush,
-    PullRequest,
-    Shutdown,
-    StatePush,
-)
+from repro.runtime.cycle import RealTiming, VirtualTiming, run_cycle, start_times, worker_cycle
+from repro.runtime.messages import Shutdown
 from repro.runtime.server_actor import RunControl, server_actor_loop
-from repro.runtime.session import (
-    REQUEST_BYTES,
-    ExperimentPlan,
-    ExperimentSession,
-)
+from repro.runtime.session import ExperimentPlan, ExperimentSession
 from repro.runtime.transport import InProcTransport
 from repro.utils.logging import get_logger
 
@@ -162,6 +157,12 @@ class ThreadBackend:
             clock=ctl.clock,
         )
         turnstile = RoundRobinTurnstile(num_workers) if self.deterministic else None
+        timings = [  # virtual clocks start where the sim's workers do
+            VirtualTiming(worker, plan.compute, plan.network, plan.timer, start)
+            if self.deterministic
+            else RealTiming(worker, plan.compute, ctl.clock, plan.timer, self.compute_scale)
+            for worker, start in zip(plan.workers, start_times(plan))
+        ]
 
         server_thread = threading.Thread(
             target=server_actor_loop,
@@ -172,7 +173,7 @@ class ThreadBackend:
         worker_threads = [
             threading.Thread(
                 target=self._worker_loop,
-                args=(m, session, transport, ctl, turnstile),
+                args=(m, session, transport, ctl, turnstile, timings[m]),
                 name=f"repro-worker-{m}",
                 daemon=True,
             )
@@ -215,7 +216,7 @@ class ThreadBackend:
 
     # ------------------------------------------------------------------ #
     # worker threads (the server actor loop lives in runtime.server_actor,
-    # shared verbatim with the proc backend)
+    # shared with the proc backend)
     # ------------------------------------------------------------------ #
     def _worker_loop(
         self,
@@ -224,13 +225,18 @@ class ThreadBackend:
         transport: InProcTransport,
         ctl: RunControl,
         turnstile: Optional[RoundRobinTurnstile],
+        timing,
     ) -> None:
+        plan = session.plan
+        send = functools.partial(transport.to_server, m)
+        recv = transport.worker_inboxes[m].get
         try:
             while not ctl.done.is_set():
                 if turnstile is not None and not turnstile.acquire(m, ctl.done):
                     break
                 try:
-                    if ctl.done.is_set() or not self._one_cycle(m, session, transport, ctl):
+                    cycle = worker_cycle(timing.worker, plan, timing.clock)
+                    if ctl.done.is_set() or not run_cycle(cycle, timing, send, recv):
                         break
                 finally:
                     if turnstile is not None:
@@ -240,77 +246,3 @@ class ThreadBackend:
         finally:
             if turnstile is not None:
                 turnstile.retire(m)
-
-    def _one_cycle(
-        self, m: int, session: ExperimentSession, transport: InProcTransport, ctl: RunControl
-    ) -> bool:
-        """One pull -> forward -> [state/comp] -> backward -> push cycle.
-
-        Returns False when a Shutdown arrived mid-cycle.
-        """
-        plan = session.plan
-        cfg = plan.config
-        worker = plan.workers[m]
-        inbox = transport.worker_inboxes[m]
-
-        t0 = ctl.clock()
-        transport.to_server(m, PullRequest(m, sent_at=t0), nbytes=REQUEST_BYTES)
-        msg = inbox.get()
-        if isinstance(msg, Shutdown):
-            return False
-
-        # Virtual durations: consumed in deterministic per-worker RNG order,
-        # used as predictor features in deterministic mode and as emulation
-        # sleep budgets in free-running mode.
-        dur_fwd = plan.compute.duration(m, fraction=1.0 / 3.0)
-        dur_bwd = plan.compute.duration(m, fraction=2.0 / 3.0)
-        if self.deterministic:
-            t_comm = plan.network.transfer_time(m, REQUEST_BYTES) + plan.network.transfer_time(
-                m, plan.model_bytes
-            )
-        else:
-            t_comm = ctl.clock() - msg.request_sent_at
-        worker.load_params(msg.weights, msg.version, t_comm)
-
-        # model_lock spans only the mutating math, never a mailbox wait
-        # (holding it across the compensation wait would deadlock against
-        # an evaluating server actor in local-BN mode)
-        with worker.model_lock, plan.timer.section("worker-compute"):
-            state = worker.forward()
-        self._emulate_compute(dur_fwd)
-
-        reply = None
-        if plan.server.rule.requires_compensation:
-            transport.to_server(m, StatePush(m, state=state), nbytes=plan.state_bytes)
-            msg = inbox.get()
-            if isinstance(msg, Shutdown):
-                return False
-            reply = msg.reply
-
-        bwd_start = time.perf_counter()
-        with worker.model_lock, plan.timer.section("worker-compute"):
-            payload = worker.backward(
-                reply=reply,
-                lc_lambda=cfg.lc_lambda,
-                compensation=cfg.compensation,
-                t_comp=0.0,
-            )
-        self._emulate_compute(dur_bwd)
-        worker.last_t_comp = (
-            dur_bwd if self.deterministic else time.perf_counter() - bwd_start
-        )
-
-        if plan.server.rule.requires_compensation:
-            transport.to_server(m, GradientPush(m, payload=payload), nbytes=plan.model_bytes)
-        else:
-            transport.to_server(
-                m,
-                CombinedPush(m, state=state, payload=payload),
-                nbytes=plan.model_bytes + plan.state_bytes,
-            )
-        return True
-
-    def _emulate_compute(self, virtual_seconds: float) -> None:
-        """Sleep out scaled virtual compute time (free-running mode only)."""
-        if self.compute_scale > 0:
-            time.sleep(self.compute_scale * virtual_seconds)

@@ -2,26 +2,10 @@
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Dict, List
 
 from repro.analysis.lockorder import make_lock
-
-
-class WallTimer:
-    """Context manager measuring wall-clock seconds via ``perf_counter``."""
-
-    def __init__(self) -> None:
-        self.elapsed: float = 0.0
-        self._start: float = 0.0
-
-    def __enter__(self) -> "WallTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self._start
 
 
 #: per-section sample retention cap — totals/counts stay exact forever,

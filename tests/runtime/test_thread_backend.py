@@ -143,7 +143,7 @@ def test_worker_failure_preserves_original_traceback(monkeypatch):
         ThreadBackend(timeout=30.0).run(plan)
     frames = {f.name for f in traceback.extract_tb(excinfo.value.__traceback__)}
     assert "exploding_forward" in frames  # the crash site survived the hop
-    assert "_one_cycle" in frames  # and so did the worker-loop context
+    assert "run_cycle" in frames  # and so did the shared worker-cycle driver
 
 
 class TestTransport:
